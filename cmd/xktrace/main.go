@@ -1,12 +1,11 @@
 // Command xktrace runs one RPC through a chosen protocol configuration
-// with tracing enabled, printing the shepherd's path through the
-// protocol and session objects — the runnable counterpart of the
-// paper's Figure 1(b).
+// with every boundary instrumented, printing the shepherd's path
+// through the protocol and session objects — the runnable counterpart
+// of the paper's Figure 1(b).
 //
-//	xktrace                    # layered RPC, event-level trace
+//	xktrace                    # layered RPC: graphs, per-layer summary, path
 //	xktrace -stack mono        # monolithic Sprite RPC over VIP
 //	xktrace -stack bypass      # the §4.3 VIPsize composition
-//	xktrace -packets           # per-packet detail
 //	xktrace -size 8192         # a fragmented call
 //	xktrace -jsonl             # structured JSONL records on stdout
 //	xktrace -jsonl -filter vip # only VIP-boundary records (plus app/wire)
@@ -20,17 +19,17 @@
 // the full wire log (every frame with its disposition), and the
 // invariant verdict are printed.
 //
-// With -jsonl the graph is composed with an observability wrap at every
-// boundary (see xkernel.Metered): stdout carries one JSON record per
-// push/pop/call/return/open crossing plus every wire frame, correlated
-// leg-by-leg by msgid, and the human-readable trace, the per-layer
-// summary table, and the reconstructed path move to stderr.
+// The graph is always composed with an observability wrap at every
+// boundary (see xkernel.Metered). The composed graphs, the per-layer
+// summary table, and the msgid-correlated path of the call go to
+// stdout. With -jsonl they move to stderr and stdout carries one JSON
+// record per push/pop/call/return/open crossing plus every wire frame.
 //
-// With -spans the graph is instrumented the same way but the call is
-// captured as causal spans (see cmd/xkanatomy for the measurement
-// harness): the reconstructed cause tree — every layer crossing, the
-// wire transits with their serialization/latency split, the handler —
-// is printed with per-span durations and self times.
+// With -spans the call is also captured as causal spans (see
+// cmd/xkanatomy for the measurement harness): the reconstructed cause
+// tree — every layer crossing, the wire transits with their
+// serialization/latency split, the handler — is printed with per-span
+// durations and self times.
 package main
 
 import (
@@ -64,16 +63,14 @@ select   channel
 
 func main() {
 	stack := flag.String("stack", "layered", "configuration: layered, mono, or bypass")
-	packets := flag.Bool("packets", false, "trace every push/pop/demux, not just events")
 	size := flag.Int("size", 0, "request payload bytes (0 = null call)")
 	jsonl := flag.Bool("jsonl", false, "emit structured JSONL records on stdout; human output moves to stderr")
-	filter := flag.String("filter", "", "with -jsonl, keep only records whose layer contains this substring")
+	filter := flag.String("filter", "", "keep only records whose layer contains this substring")
 	spans := flag.Bool("spans", false, "capture the call as causal spans and print the cause tree")
 	chaosRun := flag.Bool("chaos", false, "run the partition+reboot chaos scenario against the stack instead of tracing a call")
 	flag.Parse()
 
-	spec, ok := specs[*stack]
-	if !ok {
+	if _, ok := specs[*stack]; !ok {
 		fmt.Fprintf(os.Stderr, "xktrace: unknown stack %q (want layered, mono, or bypass)\n", *stack)
 		os.Exit(1)
 	}
@@ -86,60 +83,49 @@ func main() {
 		return
 	}
 
-	human := io.Writer(os.Stdout)
+	human, records := io.Writer(os.Stdout), io.Discard
 	if *jsonl {
-		human = os.Stderr
+		human, records = os.Stderr, os.Stdout
 	}
-	xkernel.SetTraceOutput(human)
-	if *packets {
-		xkernel.SetTraceLevel(xkernel.TracePackets)
-	} else {
-		xkernel.SetTraceLevel(xkernel.TraceEvents)
-	}
-
-	if err := run(human, spec, *stack, *size, *jsonl, *filter, *spans); err != nil {
+	if err := run(human, records, *stack, *size, *filter, *spans); err != nil {
 		fmt.Fprintf(os.Stderr, "xktrace: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(human io.Writer, spec, stack string, size int, jsonl bool, filter string, spans bool) error {
+// run traces one call through the named stack: the human-readable
+// report goes to human, the JSONL records to records.
+func run(human, records io.Writer, stack string, size int, filter string, spans bool) error {
+	spec := xkernel.Metered(specs[stack])
 	client, server, network, err := xkernel.TwoHosts(xkernel.NetConfig{}, nil)
 	if err != nil {
 		return err
 	}
 
-	var meter *xkernel.Meter
-	var tracer *xkernel.Tracer
-	var path []xkernel.TraceEvent
-	if jsonl || spans {
-		meter = xkernel.NewMeter()
-		client.SetMeter(meter)
-		server.SetMeter(meter)
-		spec = xkernel.Metered(spec)
-	}
+	meter := xkernel.NewMeter()
+	client.SetMeter(meter)
+	server.SetMeter(meter)
 	var rec *xkernel.SpanRecorder
 	if spans {
 		rec = xkernel.NewSpanRecorder(0)
 		meter.SetSpans(rec)
 		network.SetSpans(rec)
 	}
-	if jsonl {
-		tracer = xkernel.NewTracer(os.Stdout)
-		if filter != "" {
-			tracer.SetFilter(xkernel.TraceFilterSubstring(filter))
-		}
-		tracer.SetObserver(func(ev xkernel.TraceEvent) {
-			if ev.Event != "frame" {
-				path = append(path, ev)
-			}
-		})
-		meter.SetTracer(tracer)
-		network.SetCapture(func(r xkernel.FrameRecord) {
-			tracer.EmitDetail("wire", "frame", 0, r.Len, "",
-				fmt.Sprintf("%s %s->%s", r.Disposition, r.Src, r.Dst))
-		})
+	var path []xkernel.TraceEvent
+	tracer := xkernel.NewTracer(records)
+	if filter != "" {
+		tracer.SetFilter(xkernel.TraceFilterSubstring(filter))
 	}
+	tracer.SetObserver(func(ev xkernel.TraceEvent) {
+		if ev.Event != "frame" {
+			path = append(path, ev)
+		}
+	})
+	meter.SetTracer(tracer)
+	network.SetCapture(func(r xkernel.FrameRecord) {
+		tracer.EmitDetail("wire", "frame", 0, r.Len, "",
+			fmt.Sprintf("%s %s->%s", r.Disposition, r.Src, r.Dst))
+	})
 
 	if err := client.Compose(spec); err != nil {
 		return err
@@ -191,9 +177,7 @@ func run(human io.Writer, spec, stack string, size int, jsonl bool, filter strin
 		}
 	}
 
-	if tracer != nil {
-		tracer.Emit("app", "call", 0, size, "")
-	}
+	tracer.Emit("app", "call", 0, size, "")
 	var sid uint64
 	if rec != nil {
 		rec.Enable()
@@ -209,18 +193,13 @@ func run(human io.Writer, spec, stack string, size int, jsonl bool, filter strin
 	if err != nil {
 		return err
 	}
-	if tracer != nil {
-		tracer.Emit("app", "return", 0, len(reply), "")
-		if err := tracer.Flush(); err != nil {
-			return err
-		}
+	tracer.Emit("app", "return", 0, len(reply), "")
+	if err := tracer.Flush(); err != nil {
+		return err
 	}
-	xkernel.FlushTrace()
 	fmt.Fprintf(human, "--- reply: %d bytes ---\n", len(reply))
 
-	if jsonl {
-		printSummary(human, meter, path)
-	}
+	printSummary(human, meter, path)
 	if rec != nil {
 		a := xkernel.AnalyzeSpans(rec.Spans())
 		fmt.Fprintf(human, "\n--- cause tree (%d spans, %d open) ---\n", a.Total, a.Open)

@@ -23,6 +23,11 @@
 // the per-message path. Boundary operations that must allocate (the
 // reassembly slow path, error formatting on reject paths) carry
 // //xk:allow hotpathalloc — <reason>.
+//
+// Implicit interface conversions of call arguments — a value boxed into
+// a variadic ...any parameter, for one — are not flagged; the
+// round-trip allocation pin in internal/bench (TestRoundTripAllocs)
+// guards them instead.
 package hotpathalloc
 
 import (

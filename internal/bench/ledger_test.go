@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"errors"
 	"testing"
 
 	"xkernel/internal/ledger"
+	"xkernel/internal/rpc/mrpc"
 	"xkernel/internal/sim"
+	"xkernel/internal/stacks"
+	"xkernel/internal/xk"
 )
 
 func TestParseStack(t *testing.T) {
@@ -98,5 +102,103 @@ func TestUnledgerableStackRejectsSuffix(t *testing.T) {
 		if _, err := Build(stack, sim.Config{}, nil); err == nil {
 			t.Errorf("Build(%q) accepted a ledger on a stack without at-most-once state", stack)
 		}
+	}
+}
+
+// failingLedger is an in-memory execution ledger whose Reboot and
+// Retire always fail.
+type failingLedger struct{ ledger.ExecLedger }
+
+var errLedgerDown = errors.New("ledger down")
+
+func (failingLedger) Reboot() error           { return errLedgerDown }
+func (failingLedger) Retire(ledger.Key) error { return errLedgerDown }
+
+// TestLedgerErrorsCounted: neither a server reboot nor a peer reboot
+// has a caller to return a ledger failure to, so CHANNEL and M.RPC
+// count them in Stats.LedgerErrors. A client reboot makes the server
+// Retire the dead incarnation's entry; a server reboot crashes the
+// ledger with the host.
+func TestLedgerErrorsCounted(t *testing.T) {
+	type rig struct {
+		end                        Endpoint
+		clientReboot, serverReboot func()
+		ledgerErrors               func() int64
+	}
+	cases := []struct {
+		name  string
+		build func(cli, srv *stacks.Host, led ledger.ExecLedger) (rig, error)
+	}{
+		{"channel", func(cli, srv *stacks.Host, led ledger.ExecLedger) (rig, error) {
+			cp, err := buildLayeredHost(cli, nil, 3, nil, nil)
+			if err != nil {
+				return rig{}, err
+			}
+			sp, err := buildLayeredHost(srv, nil, 3, nil, led)
+			if err != nil {
+				return rig{}, err
+			}
+			if _, err := enableChannelServer(sp.chn, nil); err != nil {
+				return rig{}, err
+			}
+			end, err := openChannelEndpoint(cp.chn, 0)
+			return rig{end, cp.chn.Reboot, sp.chn.Reboot,
+				func() int64 { return sp.chn.Stats().LedgerErrors }}, err
+		}},
+		{"mrpc", func(cli, srv *stacks.Host, led ledger.ExecLedger) (rig, error) {
+			mk := func(h *stacks.Host, cfg mrpc.Config) (*mrpc.Protocol, error) {
+				v, err := newVIP(h, nil)
+				if err != nil {
+					return nil, err
+				}
+				return mrpc.New(h.Name+"/mrpc", v, hostAddr(h), cfg)
+			}
+			// One client channel, so the call after the client reboot
+			// reuses the server channel state the first call created.
+			cp, err := mk(cli, mrpc.Config{NumChannels: 1})
+			if err != nil {
+				return rig{}, err
+			}
+			sp, err := mk(srv, mrpc.Config{Ledger: led})
+			if err != nil {
+				return rig{}, err
+			}
+			registerMRPCHandlers(sp, nil)
+			s, err := cp.Open(xk.NewApp("client/app", nil), &xk.Participants{Remote: xk.NewParticipant(ServerAddr)})
+			if err != nil {
+				return rig{}, err
+			}
+			return rig{&mrpcEndpoint{s: s.(*mrpc.Session)}, cp.Reboot, sp.Reboot,
+				func() int64 { return sp.Stats().LedgerErrors }}, nil
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cli, srv, _, err := stacks.TwoHosts(sim.Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := c.build(cli, srv, failingLedger{ledger.NewMem(ledger.MemOptions{})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.end.RoundTrip(nil); err != nil {
+				t.Fatal(err)
+			}
+			if n := r.ledgerErrors(); n != 0 {
+				t.Fatalf("after a clean call LedgerErrors = %d, want 0", n)
+			}
+			r.clientReboot()
+			if err := r.end.RoundTrip(nil); err != nil {
+				t.Fatalf("call from the rebooted client: %v", err)
+			}
+			if n := r.ledgerErrors(); n != 1 {
+				t.Fatalf("after a failed Retire LedgerErrors = %d, want 1", n)
+			}
+			r.serverReboot()
+			if n := r.ledgerErrors(); n != 2 {
+				t.Fatalf("after a failed Reboot LedgerErrors = %d, want 2", n)
+			}
+		})
 	}
 }

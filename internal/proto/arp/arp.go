@@ -17,7 +17,6 @@ import (
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -204,12 +203,10 @@ func (p *Protocol) Resolve(ip xk.IPAddr) (xk.EthAddr, error) {
 		delete(p.pending, ip)
 	}
 	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "resolve %s: no answer (not local)", ip)
 	return xk.EthAddr{}, fmt.Errorf("%s: resolve %s: %w", p.Name(), ip, xk.ErrTimeout)
 }
 
 func (p *Protocol) sendRequest(ip xk.IPAddr) error {
-	trace.Printf(trace.Events, p.Name(), "who-has %s tell %s", ip, p.myIP)
 	return p.bcast.Push(p.packet(opRequest, xk.EthAddr{}, ip))
 }
 
@@ -251,7 +248,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	p.mu.Unlock()
 
 	if op == opRequest && tpa == p.myIP {
-		trace.Printf(trace.Events, p.Name(), "%s is-at %s (answering %s)", p.myIP, p.myEth, spa)
 		return p.reply(sha, spa)
 	}
 	return nil

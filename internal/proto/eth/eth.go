@@ -17,7 +17,6 @@ import (
 
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -103,7 +102,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	s := newSession(p, hlp, t, remote)
 	cur, inserted := p.active.BindIfAbsent(key(&kb, t, remote), s)
 	if inserted {
-		trace.Printf(trace.Events, p.Name(), "open type=%#04x remote=%s", uint16(t), remote)
 		return s, nil
 	}
 	// Session caching: reuse the existing binding (the paper's first
@@ -122,7 +120,6 @@ func (p *Protocol) OpenEnable(hlp xk.Protocol, ps *xk.Participants) error {
 	}
 	var kb pmap.Key
 	p.enables.Bind(kb.Reset().U16(uint16(t)).Built(), hlp)
-	trace.Printf(trace.Events, p.Name(), "open_enable type=%#04x by %s", uint16(t), hlp.Name())
 	return nil
 }
 
@@ -146,9 +143,7 @@ func (p *Protocol) Reattach() { p.wire.SetReceiver(p.receive) }
 // upward.
 func (p *Protocol) receive(frame []byte) {
 	m := msg.New(frame)
-	if err := p.Demux(nil, m); err != nil {
-		trace.Printf(trace.Events, p.Name(), "drop: %v", err)
-	}
+	_ = p.Demux(nil, m) //xk:allow errflow — a rejected frame is lost like any other; the reliable layers above retransmit
 }
 
 // Demux routes a received frame: first to the session bound to
@@ -165,7 +160,6 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 	copy(src[:], hdr[6:12])
 	t := Type(binary.BigEndian.Uint16(hdr[12:14]))
 	m.SetAttr(SrcAttr, src)
-	trace.Printf(trace.Packets, p.Name(), "demux type=%#04x src=%s len=%d", uint16(t), src, m.Len())
 
 	var kb pmap.Key
 	if v, ok := p.active.Resolve(key(&kb, t, src)); ok {
@@ -186,7 +180,6 @@ func (p *Protocol) Demux(_ xk.Session, m *msg.Msg) error {
 			p.active.Unbind(key(&kb, t, src))
 			return err
 		}
-		trace.Printf(trace.Events, p.Name(), "passive open type=%#04x remote=%s for %s", uint16(t), src, hlp.Name())
 		return s.Pop(nil, m)
 	}
 	return fmt.Errorf("%s: type %#04x from %s: %w", p.Name(), uint16(t), src, xk.ErrNoSession)
@@ -236,7 +229,6 @@ func (s *session) Push(m *msg.Msg) error {
 		return fmt.Errorf("%s: %d bytes: %w", s.p.Name(), m.Len(), xk.ErrMsgTooBig)
 	}
 	m.MustPush(s.hdr[:])
-	trace.Printf(trace.Packets, s.p.Name(), "push type=%#04x dst=%s len=%d", uint16(s.t), s.remote, m.Len())
 	return s.p.wire.Send(s.remote, m.Bytes())
 }
 

@@ -21,7 +21,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/eth"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -246,7 +245,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if err != nil {
 		return nil, err
 	}
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
 	return s, nil
 }
 
@@ -403,7 +401,6 @@ func (p *Protocol) send(h header, m *msg.Msg, lls xk.Session) error {
 		h.totalLen = uint16(HeaderLen + m.Len())
 		encodeHeader(hb[:], h)
 		m.MustPush(hb[:])
-		trace.Printf(trace.Packets, p.Name(), "push id=%d dst=%s len=%d", h.ident, h.dst, m.Len())
 		return lls.Push(m)
 	}
 	// Fragment: offsets must be multiples of 8.
@@ -424,7 +421,6 @@ func (p *Protocol) send(h header, m *msg.Msg, lls xk.Session) error {
 		p.mu.Lock()
 		p.stats.FragmentsSent++
 		p.mu.Unlock()
-		trace.Printf(trace.Packets, p.Name(), "push frag id=%d off=%d mf=%v len=%d", fh.ident, fh.fragOff, fh.moreFrag, f.Len())
 		if err := lls.Push(f); err != nil {
 			return err
 		}
@@ -491,7 +487,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		if err := hlp.OpenDone(p, s, ps); err != nil {
 			return err
 		}
-		trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", h.proto, h.src, hlp.Name())
 		return s.Pop(lls, m)
 	}
 	return fmt.Errorf("%s: proto %d from %s: %w", p.Name(), h.proto, h.src, xk.ErrNoSession)
@@ -528,7 +523,6 @@ func (p *Protocol) forward(h header, m *msg.Msg) error {
 	p.mu.Lock()
 	p.stats.Forwarded++
 	p.mu.Unlock()
-	trace.Printf(trace.Packets, p.Name(), "forward id=%d dst=%s via %s ttl=%d", h.ident, h.dst, nextHop, h.ttl)
 	// Forwarded fragments keep their fragmentation fields; send()
 	// would re-fragment only if the next link's MTU were smaller,
 	// which this suite's uniform 1500-byte links never hit, so re-emit

@@ -5,7 +5,6 @@ import (
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -50,7 +49,6 @@ func (p *Protocol) reassemble(h header, m *msg.Msg) (*msg.Msg, header, bool) {
 				p.stats.ReassemblyTimeouts++
 			}
 			p.mu.Unlock()
-			trace.Printf(trace.Events, p.Name(), "reassembly timeout id=%d from %s", k.ident, k.src)
 		})
 	}
 	// Duplicate fragments (network-level duplication) are dropped.
@@ -83,7 +81,6 @@ func (p *Protocol) reassemble(h header, m *msg.Msg) (*msg.Msg, header, bool) {
 	fh.fragOff = 0
 	fh.moreFrag = false
 	fh.totalLen = uint16(HeaderLen + full.Len())
-	trace.Printf(trace.Packets, p.Name(), "reassembled id=%d len=%d from %d fragments", h.ident, full.Len(), len(buf.pieces))
 	return full, fh, true
 }
 

@@ -7,7 +7,6 @@ import (
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -294,10 +293,7 @@ func (c *Conn) rtoFire() {
 	c.mu.Unlock()
 
 	c.p.count(func(s *Stats) { s.Retransmits++ })
-	trace.Printf(trace.Events, c.p.Name(), "retransmit seq=%d (%d retries)", g.seq, g.retries)
-	if err := c.push(out); err != nil {
-		trace.Printf(trace.Events, c.p.Name(), "retransmit failed: %v", err)
-	}
+	_ = c.push(out) // the retransmit timer armed above retries a failed resend
 }
 
 // segment processes one received segment. It is the only entry point
@@ -517,7 +513,6 @@ func (c *Conn) closeLocked() {
 	}
 	var kb pmap.Key
 	c.p.active.Unbind(key(&kb, c.lport, c.rport, c.rhost))
-	trace.Printf(trace.Events, c.p.Name(), "closed %d <-> %s:%d", c.lport, c.rhost, c.rport)
 }
 
 // teardown aborts the connection.
@@ -531,7 +526,6 @@ func (c *Conn) teardown(err error) {
 	c.closeLocked()
 	c.mu.Unlock()
 	c.estOnce.Do(func() { close(c.established) })
-	trace.Printf(trace.Events, c.p.Name(), "aborted: %v", err)
 }
 
 // Pop is unused: the protocol's demux feeds segment directly.

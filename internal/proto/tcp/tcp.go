@@ -31,7 +31,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -245,7 +244,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		p.active.Unbind(key(&kb, lport, rport, rhost))
 		return nil, err
 	}
-	trace.Printf(trace.Events, p.Name(), "established %d -> %s:%d", lport, rhost, rport)
 	return conn, nil
 }
 
@@ -321,7 +319,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		if hlp != nil {
 			conn := newConn(p, hlp, h.dst, h.src, rhost, lls, false)
 			p.active.Bind(key(&kb, h.dst, h.src, rhost), conn)
-			trace.Printf(trace.Events, p.Name(), "passive open %d <- %s:%d", h.dst, rhost, h.src)
 			return conn.segment(h, payload)
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -82,7 +81,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		_ = lls.Close()
 		return cur.(*session), nil
 	}
-	trace.Printf(trace.Events, p.Name(), "open %d -> %s:%d", lport, rhost, rport)
 	return s, nil
 }
 
@@ -149,7 +147,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		return err
 	}
 	rhost := v.(xk.IPAddr)
-	trace.Printf(trace.Packets, p.Name(), "demux %s:%d -> :%d len=%d", rhost, sport, dport, m.Len())
 
 	var kb pmap.Key
 	if s, ok := p.active.Resolve(key(&kb, dport, sport, rhost)); ok {

@@ -9,7 +9,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -161,9 +160,7 @@ func (a *Announcer) schedule() {
 	// Armed under a.mu so Stop cannot miss a ticker created concurrently.
 	//xk:allow locksafety — Schedule only enqueues; the rearm callback takes a.mu on a later event dispatch
 	a.ticker = a.clock.Schedule(a.interval, func() {
-		if err := a.Announce(); err != nil {
-			trace.Printf(trace.Events, a.Name(), "announce: %v", err)
-		}
+		_ = a.Announce() // a lost announcement is resent when the rearmed ticker next fires
 		a.schedule()
 	})
 }
@@ -189,7 +186,6 @@ func (a *Announcer) Announce() error {
 	for _, p := range a.protos {
 		b = append(b, byte(p))
 	}
-	trace.Printf(trace.Events, a.Name(), "advertising %d protocols", len(a.protos))
 	return a.bcast.Push(msg.New(b))
 }
 
@@ -219,7 +215,6 @@ func (a *Announcer) Demux(lls xk.Session, m *msg.Msg) error {
 	}
 	if host != a.myIP {
 		a.dir.Record(host, hw, protos)
-		trace.Printf(trace.Events, a.Name(), "learned %s (%d protocols)", host, n)
 	}
 	return nil
 }

@@ -30,7 +30,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -154,8 +153,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		}
 	}
 	s := p.newSession(hlp, proto, remote, ethSess, ipSess)
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s local=%v eth=%v ip=%v",
-		proto, remote, local, ethSess != nil, ipSess != nil)
 	return s, nil
 }
 
@@ -249,7 +246,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	if err := hlp.OpenDone(p, s, ps); err != nil {
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
 	return s.Pop(lls, m)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -49,13 +48,11 @@ func (a *Addr) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
 		maxMsg = v.(int)
 	}
 	if hw, rerr := a.arp.Resolve(remote); rerr == nil && maxMsg > 0 && maxMsg <= a.ethMTU {
-		trace.Printf(trace.Events, a.Name(), "open proto=%d remote=%s -> ETH", proto, remote)
 		return a.ethp.Open(hlp, xk.NewParticipants(
 			xk.NewParticipant(ethType(proto)),
 			xk.NewParticipant(hw),
 		))
 	}
-	trace.Printf(trace.Events, a.Name(), "open proto=%d remote=%s -> IP", proto, remote)
 	return a.ipp.Open(hlp, xk.NewParticipants(
 		xk.NewParticipant(proto),
 		xk.NewParticipant(remote),

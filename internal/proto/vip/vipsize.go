@@ -7,7 +7,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/eth"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -67,7 +66,6 @@ func (p *Size) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) {
 		return nil, err
 	}
 	s := p.newSession(hlp, proto, remote, directSess, bulkSess)
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s threshold=%d", proto, remote, p.threshold)
 	return s, nil
 }
 
@@ -174,7 +172,6 @@ func (p *Size) Demux(lls xk.Session, m *msg.Msg) error {
 	if err := hlp.OpenDone(p, s, ps); err != nil {
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, remote, hlp.Name())
 	return s.Pop(lls, m)
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -113,7 +112,6 @@ func (c *Conversation) Send(data []byte) (MsgID, error) {
 			return m.ID, err
 		}
 	}
-	trace.Printf(trace.Packets, c.p.Name(), "sent %s deps=%d len=%d", m.ID, len(m.Deps), len(data))
 	return m.ID, nil
 }
 
@@ -163,7 +161,6 @@ func (c *Conversation) receive(m *Message) error {
 		c.armChaseLocked(d)
 	}
 	c.mu.Unlock()
-	trace.Printf(trace.Events, c.p.Name(), "parked %s: %d missing deps", m.ID, len(missing))
 	return nil
 }
 
@@ -193,7 +190,6 @@ func (c *Conversation) deliverLocked(m *Message) {
 		cb(mm)
 		c.mu.Lock()
 	}
-	trace.Printf(trace.Packets, c.p.Name(), "delivered %s", m.ID)
 }
 
 // releaseWaitersLocked re-examines parked messages after id arrived,
@@ -239,14 +235,11 @@ func (c *Conversation) armChaseLocked(id MsgID) {
 				}
 			}
 			c.mu.Unlock()
-			trace.Printf(trace.Events, c.p.Name(), "gave up chasing %s", id)
 			return
 		}
 		ch.timer = c.p.cfg.Clock.Schedule(c.p.cfg.ChaseTimeout, fire)
 		c.mu.Unlock()
-		if err := c.requestResend(id); err != nil {
-			trace.Printf(trace.Events, c.p.Name(), "chase %s: %v", id, err)
-		}
+		_ = c.requestResend(id) // the chase timer armed above repeats a failed request
 	}
 	ch.timer = c.p.cfg.Clock.Schedule(c.p.cfg.ChaseTimeout, fire)
 }
@@ -262,7 +255,6 @@ func (c *Conversation) requestResend(id MsgID) error {
 	out = binary.BigEndian.AppendUint32(out, c.id)
 	out = append(out, id.Host[:]...)
 	out = binary.BigEndian.AppendUint32(out, id.Seq)
-	trace.Printf(trace.Events, c.p.Name(), "requesting %s from %s", id, id.Host)
 	return s.Push(msg.New(out))
 }
 
@@ -272,7 +264,6 @@ func (c *Conversation) honorResend(id MsgID, lls xk.Session) error {
 	m, ok := c.store[id]
 	c.mu.Unlock()
 	if !ok {
-		trace.Printf(trace.Events, c.p.Name(), "cannot honor resend of %s", id)
 		return nil
 	}
 	return lls.Push(msg.New(encodeData(m)))

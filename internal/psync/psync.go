@@ -31,7 +31,6 @@ import (
 	"xkernel/internal/event"
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -193,7 +192,6 @@ func (p *Protocol) Join(conv uint32, peers []xk.IPAddr, deliver func(Message)) (
 	}
 	p.convs[conv] = c
 	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "joined conversation %d with %d peers", conv, len(c.peers))
 	return c, nil
 }
 

@@ -34,7 +34,6 @@ import (
 
 	"xkernel/internal/msg"
 	"xkernel/internal/rpc/xdr"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -314,7 +313,6 @@ func (l *Layer) Demux(lls xk.Session, m *msg.Msg) error {
 	}
 	id, err := l.mech.VerifyCred(cred, m.Bytes())
 	if err != nil {
-		trace.Printf(trace.Events, l.Name(), "rejected call: %v", err)
 		return err
 	}
 	m.SetAttr(IdentityAttr, id)

@@ -41,7 +41,6 @@ import (
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/retry"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -182,6 +181,9 @@ type Stats struct {
 	// PeerReboots counts calls this client failed with
 	// PeerRebootedError.
 	PeerReboots int64
+	// LedgerErrors counts execution-ledger Reboot and Retire failures;
+	// neither has a caller to return the error to.
+	LedgerErrors int64
 }
 
 // header is the decoded CHANNEL_HDR.
@@ -254,7 +256,7 @@ type statCounters struct {
 	duplicateRequests, replayedReplies         atomic.Int64
 	requestsServed, remoteErrors               atomic.Int64
 	staleEpochRejects, peerReboots             atomic.Int64
-	ledgerReplays                              atomic.Int64
+	ledgerReplays, ledgerErrors                atomic.Int64
 
 	// Instantaneous gauges, distinct from the monotone counters above:
 	// callsInFlight is calls currently blocked in Call, and
@@ -300,6 +302,7 @@ func (p *Protocol) Stats() Stats {
 		StaleEpochRejects: p.ctr.staleEpochRejects.Load(),
 		LedgerReplays:     p.ctr.ledgerReplays.Load(),
 		PeerReboots:       p.ctr.peerReboots.Load(),
+		LedgerErrors:      p.ctr.ledgerErrors.Load(),
 	}
 }
 
@@ -346,14 +349,13 @@ func (p *Protocol) BootID() uint32 {
 // forgets everything, a durable one replays its log and carries the
 // executed set into the new incarnation.
 func (p *Protocol) Reboot() {
-	boot := p.bootID.Add(1)
+	p.bootID.Add(1)
 	p.srvMu.Lock()
 	p.servers = make(map[srvKey]*srvChan)
 	p.srvMu.Unlock()
 	if err := p.cfg.Ledger.Reboot(); err != nil {
-		trace.Printf(trace.Events, p.Name(), "ledger reboot failed: %v", err)
+		p.ctr.ledgerErrors.Add(1)
 	}
-	trace.Printf(trace.Events, p.Name(), "rebooted, boot_id now %d", boot)
 }
 
 // PeerBootID reports the last boot incarnation observed from host in a
@@ -443,7 +445,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	if cur, inserted := p.clients.BindIfAbsent(key(&kb, proto, uint16(id), remote), s); !inserted {
 		return cur.(*Session), nil
 	}
-	trace.Printf(trace.Events, p.Name(), "open chan=%d proto=%d remote=%s", id, proto, remote)
 	return s, nil
 }
 
@@ -525,7 +526,6 @@ func (p *Protocol) clientReceive(h header, peer xk.IPAddr, m *msg.Msg) error {
 	var kb pmap.Key
 	v, ok := p.clients.Resolve(key(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
 	if !ok {
-		trace.Printf(trace.Events, p.Name(), "drop reply for unknown chan=%d proto=%d peer=%s", h.channel, h.protoNum, peer)
 		return nil
 	}
 	return v.(*Session).receive(h, m)

@@ -330,8 +330,9 @@ func TestSessionControls(t *testing.T) {
 func TestExplicitAckWhileServerBusy(t *testing.T) {
 	// "timeouts trigger retransmissions which sometime elicit explicit
 	// acknowledgements": while the handler is still working, a
-	// retransmitted request must get an ACK (stop the client's
-	// retransmissions), not a re-execution and not silence.
+	// retransmitted request must get an ACK (thinning the client's
+	// retransmissions), not a re-execution and not silence. The client
+	// keeps probing after the ack, so a lost reply is still recovered.
 	b := build(t, sim.Config{}, channel.Config{
 		RetransmitBase: 50 * time.Millisecond,
 		MaxRetries:     50,
@@ -377,16 +378,38 @@ func TestExplicitAckWhileServerBusy(t *testing.T) {
 	if b.cc.Stats().AcksReceived == 0 {
 		t.Fatal("client never recorded the ack")
 	}
+
+	// The reply itself is lost: only the client's retransmission after
+	// the ack can recover it, answered from the ledger.
+	serverMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 2}
+	clientMAC := xk.EthAddr{0x02, 0, 0, 0, 0, 1}
+	eaten := make(chan struct{})
+	b.network.AddRule(sim.Rule{Name: "eat reply", Count: 1, Match: func(fi sim.FaultInfo) bool {
+		if fi.Src != serverMAC || fi.Dst != clientMAC {
+			return false
+		}
+		close(eaten)
+		return true
+	}})
 	close(block)
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
+	case <-eaten:
 	case <-time.After(5 * time.Second):
-		t.Fatal("call never completed after unblocking")
+		t.Fatal("handler never replied after unblocking")
 	}
-	if served != 1 {
-		t.Fatalf("handler ran %d times total", served)
+	for i := 0; i < 20; i++ {
+		b.clock.Advance(60 * time.Millisecond)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served != 1 {
+				t.Fatalf("handler ran %d times total", served)
+			}
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
+	t.Fatal("call never recovered its lost reply after the ack")
 }

@@ -9,7 +9,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -100,12 +99,15 @@ func (s *Session) Call(m *msg.Msg) (*msg.Msg, error) {
 				retransCounted = true
 				p.ctr.retransInFlight.Add(1)
 			}
-			trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", s.id, seq, attempt)
 		}
+		// An explicit ack says the server is working: hold back this
+		// resend, but probe again at the next timeout, since the reply
+		// itself can be lost and only a retransmission recovers it.
 		s.mu.Lock()
-		skip := s.acked // the server said it is working; don't resend
+		skip := s.acked
+		s.acked = false
 		s.mu.Unlock()
-		if !skip || attempt == 0 {
+		if !skip {
 			var hb [HeaderLen]byte
 			h.encode(hb[:])
 			// Each (re)transmission is an independent message to
@@ -163,7 +165,6 @@ func (s *Session) receive(h header, m *msg.Msg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.active || h.seq != s.seq {
-		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d (current %d)", s.id, h.seq, s.seq)
 		return nil
 	}
 	if h.flags&flagAck != 0 {
@@ -377,13 +378,9 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 		if e, ok := p.cfg.Ledger.Lookup(lk); ok && e.ClientBoot == h.bootID && e.Seq == h.seq {
 			p.ctr.ledgerReplays.Add(1)
 			p.ctr.replayedReplies.Add(1)
-			trace.Printf(trace.Events, p.Name(), "ledger replay chan=%d seq=%d to %s (executed before crash)",
-				h.channel, h.seq, peer)
 			return replayBlob(lls, e.Reply)
 		}
 		p.ctr.staleEpochRejects.Add(1)
-		trace.Printf(trace.Events, p.Name(), "reject stale-epoch chan=%d seq=%d from %s (hint %d, boot %d)",
-			h.channel, h.seq, peer, h.errCode, boot)
 		return p.sendReject(h, boot, lls)
 	}
 	// Seed looked up outside srvMu to keep that lock narrow; it is
@@ -410,8 +407,6 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 
 	sc.mu.Lock()
 	if sc.bootID != h.bootID {
-		trace.Printf(trace.Events, p.Name(), "peer %s rebooted (boot %d -> %d), resetting chan %d",
-			peer, sc.bootID, h.bootID, h.channel)
 		sc.bootID = h.bootID
 		sc.lastSeq = 0
 		sc.executing = false
@@ -419,7 +414,7 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 		// reply again — retire the channel's ledger entry.
 		//xk:allow locksafety — retire must be ordered with the boot-epoch flip under sc.mu; the fsync Schedule only enqueues
 		if err := p.cfg.Ledger.Retire(lk); err != nil {
-			trace.Printf(trace.Events, p.Name(), "ledger retire chan=%d: %v", h.channel, err)
+			p.ctr.ledgerErrors.Add(1)
 		}
 	}
 
@@ -439,7 +434,6 @@ func (p *Protocol) serveRequest(h header, peer xk.IPAddr, m *msg.Msg, lls xk.Ses
 		if e, ok := p.cfg.Ledger.Lookup(lk); ok && e.ClientBoot == h.bootID && e.Seq == h.seq {
 			p.ctr.replayedReplies.Add(1)
 			sc.mu.Unlock()
-			trace.Printf(trace.Events, p.Name(), "replay reply chan=%d seq=%d to %s", h.channel, h.seq, peer)
 			return replayBlob(lls, e.Reply)
 		}
 		sc.mu.Unlock()
@@ -529,6 +523,5 @@ func (p *Protocol) sendAck(req header, lls xk.Session) error {
 	h.encode(hb[:])
 	m := msg.Empty()
 	m.MustPush(hb[:])
-	trace.Printf(trace.Events, p.Name(), "explicit ack chan=%d seq=%d", req.channel, req.seq)
 	return lls.Push(m)
 }

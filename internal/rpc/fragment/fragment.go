@@ -38,7 +38,6 @@ import (
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/retry"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -259,7 +258,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 		_ = lls.Close()
 		return cur.(*session), nil
 	}
-	trace.Printf(trace.Events, p.Name(), "open proto=%d remote=%s", proto, remote)
 	return s, nil
 }
 
@@ -343,6 +341,5 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 		p.active.Unbind(key(&kb, proto, peer))
 		return err
 	}
-	trace.Printf(trace.Events, p.Name(), "passive open proto=%d remote=%s for %s", proto, peer, hlp.Name())
 	return s.receive(h, m, lls)
 }

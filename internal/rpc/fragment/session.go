@@ -9,7 +9,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -119,7 +118,6 @@ func (s *session) Push(m *msg.Msg) error {
 			return err
 		}
 	}
-	trace.Printf(trace.Packets, p.Name(), "push seq=%d frags=%d len=%d to %s", seq, len(frags), m.Len(), s.remote)
 	return nil
 }
 
@@ -214,7 +212,6 @@ func (s *session) receiveData(h header, m *msg.Msg) error {
 	s.mu.Unlock()
 
 	p.ctr.messagesDelivered.Add(1)
-	trace.Printf(trace.Packets, p.Name(), "deliver seq=%d len=%d from %s", h.seq, full.Len(), s.remote)
 
 	up := s.Up()
 	if up == nil {
@@ -238,7 +235,6 @@ func (s *session) armGapTimerLocked(seq uint32, r *rcvMsg) {
 			delete(s.rcv, seq)
 			s.mu.Unlock()
 			p.ctr.messagesAbandoned.Add(1)
-			trace.Printf(trace.Events, p.Name(), "abandon seq=%d from %s (mask %#04x of %d)", seq, s.remote, r.mask, r.numFrags)
 			return
 		}
 		mask, numFrags := r.mask, r.numFrags
@@ -246,10 +242,7 @@ func (s *session) armGapTimerLocked(seq uint32, r *rcvMsg) {
 		s.mu.Unlock()
 
 		p.ctr.resendRequestsSent.Add(1)
-		trace.Printf(trace.Events, p.Name(), "request missing seq=%d have=%#04x of %d from %s", seq, mask, numFrags, s.remote)
-		if err := s.sendResendRequest(seq, mask, numFrags); err != nil {
-			trace.Printf(trace.Events, p.Name(), "resend request failed: %v", err)
-		}
+		_ = s.sendResendRequest(seq, mask, numFrags) // the gap timer armed above repeats a failed request
 	})
 }
 
@@ -282,7 +275,6 @@ func (s *session) receiveResendRequest(h header) error {
 	s.mu.Unlock()
 	if sm == nil {
 		p.ctr.resendsExpired.Add(1)
-		trace.Printf(trace.Events, p.Name(), "resend request for discarded seq=%d from %s", h.seq, s.remote)
 		return nil
 	}
 	p.ctr.resendsHonored.Add(1)

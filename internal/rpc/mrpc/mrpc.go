@@ -26,7 +26,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/retry"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -124,6 +123,9 @@ type Stats struct {
 	// PeerReboots counts calls this client failed with
 	// PeerRebootedError.
 	PeerReboots int64
+	// LedgerErrors counts execution-ledger Reboot and Retire failures;
+	// neither has a caller to return the error to.
+	LedgerErrors int64
 }
 
 // RemoteError is a server-reported failure, distinguished from transport
@@ -192,7 +194,7 @@ type statCounters struct {
 	duplicateRequests, replayedReplies         atomic.Int64
 	requestsServed, errors                     atomic.Int64
 	staleEpochRejects, peerReboots             atomic.Int64
-	ledgerReplays                              atomic.Int64
+	ledgerReplays, ledgerErrors                atomic.Int64
 }
 
 // New creates the protocol for the host with address local above llp,
@@ -250,6 +252,7 @@ func (p *Protocol) Stats() Stats {
 		StaleEpochRejects: p.ctr.staleEpochRejects.Load(),
 		LedgerReplays:     p.ctr.ledgerReplays.Load(),
 		PeerReboots:       p.ctr.peerReboots.Load(),
+		LedgerErrors:      p.ctr.ledgerErrors.Load(),
 	}
 }
 
@@ -267,14 +270,13 @@ func (p *Protocol) BootID() uint32 {
 // volatile ledger forgets everything, a durable one replays its log
 // and carries the executed set into the new incarnation.
 func (p *Protocol) Reboot() {
-	boot := p.bootID.Add(1)
+	p.bootID.Add(1)
 	p.srvMu.Lock()
 	p.servers = make(map[srvKey]*srvChan)
 	p.srvMu.Unlock()
 	if err := p.cfg.Ledger.Reboot(); err != nil {
-		trace.Printf(trace.Events, p.Name(), "ledger reboot failed: %v", err)
+		p.ctr.ledgerErrors.Add(1)
 	}
-	trace.Printf(trace.Events, p.Name(), "rebooted, boot_id now %d", boot)
 }
 
 // PeerBootID reports the last boot incarnation observed from host in a
@@ -332,7 +334,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	}
 	s := &Session{p: p, server: server}
 	s.InitSession(p, hlp, lls)
-	trace.Printf(trace.Events, p.Name(), "open server=%s", server)
 	return s, nil
 }
 
@@ -455,7 +456,6 @@ func (s *Session) Call(command uint16, args *msg.Msg) (*msg.Msg, error) {
 		}
 		if attempt > 0 {
 			p.ctr.retransmits.Add(1)
-			trace.Printf(trace.Events, p.Name(), "retransmit chan=%d seq=%d attempt=%d", cs.id, seq, attempt)
 		}
 
 		timeout := make(chan struct{})
@@ -569,7 +569,6 @@ func (p *Protocol) clientReceive(h header, m *msg.Msg) error {
 	if !cs.active || h.seq != cs.seq {
 		// A stale reply to an earlier incarnation of the channel:
 		// at-most-once filtering on the client side.
-		trace.Printf(trace.Events, p.Name(), "drop stale chan=%d seq=%d (current %d)", h.channel, h.seq, cs.seq)
 		return nil
 	}
 	if h.flags&flagAck != 0 {

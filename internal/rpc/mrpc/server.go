@@ -6,7 +6,6 @@ import (
 
 	"xkernel/internal/ledger"
 	"xkernel/internal/msg"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -70,14 +69,10 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		if e, ok := p.cfg.Ledger.Lookup(lk); ok && e.ClientBoot == h.bootID && e.Seq == h.seq {
 			p.ctr.ledgerReplays.Add(1)
 			p.ctr.replayedReplies.Add(1)
-			trace.Printf(trace.Events, p.Name(), "ledger replay seq=%d to %s (executed before crash)",
-				h.seq, h.clntHost)
 			return replayBlob(lls, e.Reply)
 		}
 		p.ctr.staleEpochRejects.Add(1)
 		boot := p.bootID.Load()
-		trace.Printf(trace.Events, p.Name(), "reject stale epoch %d (now %d) from %s seq=%d",
-			h.srvrProc, boot, h.clntHost, h.seq)
 		return p.sendReject(h, boot, lls)
 	}
 	// Seed looked up outside srvMu to keep that lock narrow; it is
@@ -102,15 +97,13 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 		// The client rebooted: everything we remember about this
 		// channel belongs to a dead incarnation, including its ledger
 		// entry.
-		trace.Printf(trace.Events, p.Name(), "client %s rebooted (boot %d -> %d), resetting channel %d",
-			h.clntHost, sc.bootID, h.bootID, h.channel)
 		sc.bootID = h.bootID
 		sc.lastSeq = 0
 		sc.executing = false
 		sc.collect = nil
 		//xk:allow locksafety — retire must be ordered with the boot-epoch flip under sc.mu; the fsync Schedule only enqueues
 		if err := p.cfg.Ledger.Retire(lk); err != nil {
-			trace.Printf(trace.Events, p.Name(), "ledger retire channel=%d: %v", h.channel, err)
+			p.ctr.ledgerErrors.Add(1)
 		}
 	}
 
@@ -137,7 +130,6 @@ func (p *Protocol) serveRequest(h header, m *msg.Msg, lls xk.Session) error {
 			// replay of the recorded reply.
 			p.ctr.replayedReplies.Add(1)
 			sc.mu.Unlock()
-			trace.Printf(trace.Events, p.Name(), "replay reply seq=%d to %s", h.seq, h.clntHost)
 			return replayBlob(lls, e.Reply)
 		}
 		sc.mu.Unlock()
@@ -314,6 +306,5 @@ func (p *Protocol) sendAck(req header, mask uint16, lls xk.Session) error {
 	h.encode(hb[:])
 	m := msg.Empty()
 	m.MustPush(hb[:])
-	trace.Printf(trace.Events, p.Name(), "explicit ack seq=%d mask=%#04x to %s", req.seq, mask, req.clntHost)
 	return lls.Push(m)
 }

@@ -25,7 +25,6 @@ import (
 	"xkernel/internal/obs/gauge"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/channel"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -212,7 +211,6 @@ func (p *Protocol) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error
 	}
 	p.sessions[remote] = s
 	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "open server=%s channels=%d", remote, p.cfg.NumChannels)
 	return s, nil
 }
 
@@ -266,7 +264,6 @@ func (p *Protocol) Demux(lls xk.Session, m *msg.Msg) error {
 	binary.BigEndian.PutUint16(out[1:3], command)
 	out[3] = status
 	reply.MustPush(out[:])
-	trace.Printf(trace.Packets, p.Name(), "served command=%d status=%d", command, status)
 	return lls.Push(reply)
 }
 

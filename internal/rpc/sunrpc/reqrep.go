@@ -22,7 +22,6 @@ import (
 	"xkernel/internal/pmap"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/channel"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -186,7 +185,6 @@ func (p *ReqRep) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 	if cur, inserted := p.clients.BindIfAbsent(rrKey(&kb, proto, uint16(id), remote), s); !inserted {
 		return cur.(*RRSession), nil
 	}
-	trace.Printf(trace.Events, p.Name(), "open id=%d proto=%d remote=%s", id, proto, remote)
 	return s, nil
 }
 
@@ -263,7 +261,6 @@ func (p *ReqRep) Demux(lls xk.Session, m *msg.Msg) error {
 		var kb pmap.Key
 		cv, ok := p.clients.Resolve(rrKey(&kb, ip.ProtoNum(h.protoNum), h.channel, peer))
 		if !ok {
-			trace.Printf(trace.Events, p.Name(), "drop reply id=%d xid=%d from %s", h.channel, h.xid, peer)
 			return nil
 		}
 		return cv.(*RRSession).receive(h, m)

@@ -7,7 +7,6 @@ import (
 	"xkernel/internal/msg"
 	"xkernel/internal/proto/ip"
 	"xkernel/internal/rpc/channel"
-	"xkernel/internal/trace"
 	"xkernel/internal/xk"
 )
 
@@ -197,7 +196,6 @@ func (p *Select) Open(hlp xk.Protocol, ps *xk.Participants) (xk.Session, error) 
 	}
 	p.sessions[remote] = s
 	p.mu.Unlock()
-	trace.Printf(trace.Events, p.Name(), "open server=%s sessions=%d", remote, p.cfg.NumSessions)
 	return s, nil
 }
 
@@ -224,8 +222,6 @@ func (p *Select) Demux(lls xk.Session, m *msg.Msg) error {
 	out := encodeReplyHeader(serr)
 	if serr == nil {
 		out.Join(reply)
-	} else {
-		trace.Printf(trace.Events, p.Name(), "call %d/%d/%d failed: %v", prog, vers, proc, serr)
 	}
 	return lls.Push(out)
 }

@@ -5,6 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The output smokes below pipe into `grep PATTERN > /dev/null`, not
+# `grep -q`: grep -q exits at the first match, the still-writing tool
+# then dies of SIGPIPE, and pipefail fails the run.
+
 # Any chaos invariant violation or conformance failure during the test
 # phases auto-dumps the flight recorder (black box) here as JSON; CI
 # uploads the directory as a post-mortem artifact.
@@ -75,7 +79,7 @@ go test ./internal/wire/udp/ -run '^$' -fuzz FuzzUDPFrame -fuzztime 5s
 echo "== udp loopback smoke (real sockets under the load engine) =="
 # One quick sweep over the real UDP wire: proves the seam end-to-end
 # off-simulator and that the report is well-formed.
-go run ./cmd/xkload -wire udp -stacks L_RPC-VIP -clients 1 -duration 100ms -json - | grep -q '"kind": "load"'
+go run ./cmd/xkload -wire udp -stacks L_RPC-VIP -clients 1 -duration 100ms -json - | grep '"kind": "load"' > /dev/null
 
 echo "== allow-grammar fuzz smoke (xkvet suppression parser) =="
 # The //xk:allow parser gates what the analyzers silence; it must never
@@ -95,11 +99,14 @@ echo "== anatomy smoke (causal spans + compositional invariant) =="
 # any RPC's cause tree breaks the Σ-layer-costs = end-to-end invariant.
 go run ./cmd/xkanatomy -quick > /dev/null
 
+echo "== xktrace smoke (the README's trace example) =="
+go run ./cmd/xktrace -stack bypass -size 8192 | grep "reconstructed path" > /dev/null
+
 echo "== xkmon smoke (gauge sweep + saturation-knee render) =="
 # A minimal live sweep must render the knee summary and the per-level
 # gauge table; the flight-dump path is exercised by the chaos flight
 # tests in the race suite above.
-go run ./cmd/xkmon -live -stacks L_RPC-VIP -clients 1,8 -duration 100ms | grep -q "saturation knees"
+go run ./cmd/xkmon -live -stacks L_RPC-VIP -clients 1,8 -duration 100ms | grep "saturation knees" > /dev/null
 
 echo "== benchmark regression gate (vs committed Table I baseline) =="
 # Relative mode normalizes by the table mean, so the committed baseline
@@ -127,7 +134,7 @@ echo "== xkprof smoke (profile capture -> stdlib decode -> layer table) =="
 # stack, decodes them with the stdlib-only pprof reader, and requires
 # a non-empty per-layer resource table.
 profdir="$(mktemp -d)"
-go run ./cmd/xkprof -capture "$profdir" -json "$profdir/xkprof.json" | grep -q "total: cpu"
+go run ./cmd/xkprof -capture "$profdir" -json "$profdir/xkprof.json" | grep "total: cpu" > /dev/null
 rm -rf "$profdir"
 
 echo "== profile regression gate (vs committed resource anatomy) =="

@@ -62,7 +62,6 @@ import (
 	"xkernel/internal/rpc/retry"
 	"xkernel/internal/sim"
 	"xkernel/internal/stacks"
-	"xkernel/internal/trace"
 	"xkernel/internal/wire"
 	udpwire "xkernel/internal/wire/udp"
 	"xkernel/internal/xk"
@@ -290,9 +289,6 @@ var (
 	// TraceFilterSubstring builds a tracer filter keeping layers that
 	// contain a substring (app- and wire-level records always pass).
 	TraceFilterSubstring = obs.FilterSubstring
-	// FlushTrace drains buffered trace output; call it before
-	// interleaving other writes to the trace destination.
-	FlushTrace = trace.Flush
 	// ChaosExecute runs a fault scenario against a stack and checks
 	// the robustness invariants (at-most-once, convergence, bounded
 	// retransmission, clean shutdown).
@@ -400,25 +396,6 @@ const (
 	CtlResolve      = xk.CtlResolve
 	CtlHLPMaxMsg    = xk.CtlHLPMaxMsg
 	CtlFreeChannels = xk.CtlFreeChannels
-)
-
-// TraceLevel controls global protocol tracing.
-type TraceLevel = trace.Level
-
-// Trace levels.
-const (
-	TraceOff     = trace.Off
-	TraceEvents  = trace.Events
-	TracePackets = trace.Packets
-)
-
-// SetTrace directs protocol tracing at the given level to standard
-// error via trace.SetOutput; see the trace package for details.
-var (
-	// SetTraceLevel sets the global trace verbosity.
-	SetTraceLevel = trace.SetLevel
-	// SetTraceOutput directs trace output.
-	SetTraceOutput = trace.SetOutput
 )
 
 // Metered rewrites a composition spec so every boundary is
